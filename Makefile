@@ -29,10 +29,11 @@ race:
 	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss' ./internal/core
 
 # The fault-plane property suite under the race detector: a tiny matrix at
-# 2% message loss must be identical for 1 and N workers, and a zero-loss
-# plane must be byte-identical to no plane at all.
+# 2% message loss must be identical for 1 and N workers, a zero-loss
+# plane must be byte-identical to no plane at all, and every baseline
+# summary at loss 0 and 0.02 must match its pinned digest.
 loss-smoke:
-	$(GO) test -race -run 'TestLoss' ./internal/experiments
+	$(GO) test -race -run 'TestLoss|TestBaselineLossGolden' ./internal/experiments
 
 # One iteration of the matrix benchmark as a compile-and-run smoke test
 # (-run '^$' skips the unit tests in the root package).
