@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race loss-smoke bench-gate bench bench-delivery bench-replay fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke bench-serve profile check
+.PHONY: build test vet fmt race cpu-matrix loss-smoke bench-gate bench bench-delivery bench-replay bench-search fuzz-smoke obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke bench-serve profile check
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ fmt:
 race:
 	$(GO) test -race ./internal/sim ./internal/experiments
 	$(GO) test -race -run 'TestIndexedCacheEquivalenceUnderChurnAndLoss' ./internal/core
+
+# Core-count invariance: the determinism, shard, obs, loss and
+# inert-scenario suites at GOMAXPROCS 1, 2 and 4. Replay outputs must not
+# depend on the host's core count; a 1-CPU runner alone cannot show that.
+cpu-matrix:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Determin|Shard|Parallel|WorkerCount|Obs|Loss|Inert' \
+		./internal/sim ./internal/scenario ./internal/experiments
 
 # The fault-plane property suite under the race detector: a tiny matrix at
 # 2% message loss must be identical for 1 and N workers, a zero-loss
@@ -68,6 +75,13 @@ bench-delivery:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeliverFlood|BenchmarkDeliverWalk|BenchmarkApplyAd' \
 		-benchtime 100x -benchmem ./internal/core
 
+# Baseline search-plane micro-benchmarks: flooding, random-walk and GSA
+# searches over a warm scratch. A hundred iterations each as a smoke test
+# so a hot-loop regression (or a new allocation) fails fast.
+bench-search:
+	$(GO) test -run '^$$' -bench 'BenchmarkFloodingSearch|BenchmarkRandomWalkSearch|BenchmarkGSASearch' \
+		-benchtime 100x -benchmem ./internal/search
+
 # Replay-plane micro-benchmarks: one full small-scale end-to-end replay
 # plus the bit-sliced phase-1 cache scan. One/hundred iterations as a
 # smoke test so a hot-loop regression (or a new allocation) fails fast.
@@ -77,11 +91,13 @@ bench-replay:
 
 # Zero-alloc gates: the obs-off hot path (promised in internal/obs), the
 # warmed-up delivery hot loops (flood, walk, applyAd), the warmed-up
-# replay scan paths (scanCache, serveAds), and patch sizing on the publish
-# path (exact even for unsorted caller-built lists).
+# replay scan paths (scanCache, serveAds), the warmed-up baseline searches
+# (flooding, random-walk, GSA), and patch sizing on the publish path
+# (exact even for unsorted caller-built lists).
 alloc-gate:
 	$(GO) test -run 'TestObsOffHotPathAllocs' -count=1 .
 	$(GO) test -run 'TestDeliveryHotPathAllocs|TestScanHotPathAllocs' -count=1 ./internal/core
+	$(GO) test -run 'TestBaselineSearchAllocs' -count=1 ./internal/search
 	$(GO) test -run 'TestPatchWireSizeAllocs' -count=1 ./internal/bloom
 
 # Sharded-replay equivalence under the race detector: the tiny matrix under
@@ -141,4 +157,4 @@ profile:
 		-cpuprofile out/cpu.pb -memprofile out/mem.pb -mutexprofile out/mutex.pb
 	@echo "profiles written to out/{cpu,mem,mutex}.pb"
 
-check: vet fmt test race loss-smoke bench-gate bench-delivery bench-replay obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke fuzz-smoke
+check: vet fmt test race cpu-matrix loss-smoke bench-gate bench-delivery bench-replay bench-search obs-smoke alloc-gate shard-smoke mem-gate net-smoke scenario-smoke serve-smoke fuzz-smoke

@@ -45,7 +45,7 @@ func main() {
 		topo      = flag.String("topo", "crawled", "overlay topology (random, powerlaw, crawled)")
 		traceFile = flag.String("trace", "", "replay a trace file from tracegen instead of regenerating")
 		scenArg   = flag.String("scenario", "", "replay an adversarial scenario by registry name or JSON file (overrides -scale/-scheme/-topo/-seed); names: "+strings.Join(scenario.Names(), ", "))
-		workers   = flag.Int("workers", 0, "query replay workers (0 = GOMAXPROCS); sharded replay ignores this")
+		workers   = flag.Int("workers", 0, "query replay parallelism (0 = GOMAXPROCS); above 1 replays sharded with that many shards, byte-identical at every count; -shards takes precedence")
 		shards    = flag.Int("shards", 0, "replay shards: 0 = unsharded, <0 = auto (GOMAXPROCS); outputs are byte-identical at every count (unset: the preset's own default)")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		series    = flag.Bool("series", false, "also print the per-second load series")

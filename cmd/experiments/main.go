@@ -46,7 +46,7 @@ func main() {
 		figure    = flag.String("figure", "all", "figure to regenerate: all, 2-10, or claims")
 		schemes   = flag.String("schemes", "", "comma-separated scheme subset (default: all six)")
 		topos     = flag.String("topos", "", "comma-separated topology subset (default: all three)")
-		workers   = flag.Int("workers", 0, "query replay workers for single-run sweeps (0 = GOMAXPROCS); matrix cells replay single-threaded")
+		workers   = flag.Int("workers", 0, "query replay parallelism for single-run sweeps (0 = GOMAXPROCS; above 1 replays sharded, byte-identical at every count); matrix cells replay single-threaded")
 		matrixW   = flag.Int("matrixworkers", 0, "scheme×topology matrix workers (0 = GOMAXPROCS)")
 		shards    = flag.Int("shards", 0, "replay shards per run: 0 = unsharded, <0 = auto (GOMAXPROCS); outputs are byte-identical at every count (unset: the preset's own default)")
 		seed      = flag.Uint64("seed", 1, "master seed")

@@ -259,10 +259,10 @@ func (s *Scheme) deliverWalk(t sim.Clock, snap *adSnapshot, kind adKind, targeti
 // targeting topics, steering ads toward potential consumers at equal
 // budget; otherwise it falls back to the uniform pick.
 func (s *Scheme) pickNextHop(cur, prev overlay.NodeID, targeting content.ClassSet) overlay.NodeID {
-	if !s.cfg.BiasedDelivery {
-		return s.pickLiveNeighbor(cur, prev)
-	}
 	nbs := s.eligibleView(cur)
+	if !s.cfg.BiasedDelivery {
+		return s.pickLiveNeighbor(nbs, prev)
+	}
 	interested, other := 0, 0
 	for _, nb := range nbs {
 		if nb == prev {
@@ -275,7 +275,7 @@ func (s *Scheme) pickNextHop(cur, prev overlay.NodeID, targeting content.ClassSe
 		}
 	}
 	if interested == 0 && other == 0 {
-		return s.pickLiveNeighbor(cur, prev) // only prev (or nothing) left
+		return s.pickLiveNeighbor(nbs, prev) // only prev (or nothing) left
 	}
 	wantInterested := interested > 0
 	pool := interested
@@ -298,36 +298,12 @@ func (s *Scheme) pickNextHop(cur, prev overlay.NodeID, targeting content.ClassSe
 	return -1 // unreachable
 }
 
-// pickLiveNeighbor picks a uniformly random live neighbour of cur,
-// avoiding an immediate return to prev when alternatives exist.
-// Adjacency holds no duplicate edges, so prev appears at most once: one
-// early-exiting indexOf scan replaces the count-then-select double scan,
-// with the same rng draw and the same pick as selecting the k-th
-// non-prev element in view order.
-func (s *Scheme) pickLiveNeighbor(cur, prev overlay.NodeID) overlay.NodeID {
-	nbs := s.eligibleView(cur)
-	if len(nbs) == 0 {
-		return -1
-	}
-	pi := -1
-	for i, nb := range nbs {
-		if nb == prev {
-			pi = i
-			break
-		}
-	}
-	liveNotPrev := len(nbs)
-	if pi >= 0 {
-		liveNotPrev--
-	}
-	if liveNotPrev == 0 {
-		return prev
-	}
-	k := s.rng.IntN(liveNotPrev)
-	if pi >= 0 && k >= pi {
-		k++
-	}
-	return nbs[k]
+// pickLiveNeighbor picks a uniformly random node of the live view nbs,
+// avoiding an immediate return to prev when alternatives exist. It is
+// small enough to inline, so the walk path makes one call, to
+// overlay.PickAvoiding's single-scan draw.
+func (s *Scheme) pickLiveNeighbor(nbs []overlay.NodeID, prev overlay.NodeID) overlay.NodeID {
+	return overlay.PickAvoiding(nbs, prev, s.rng)
 }
 
 // applyAd lets node v react to an arriving ad: cache it when interesting,

@@ -94,8 +94,7 @@ func (l *Lab) topoProto(kind overlay.Kind) *sim.TopoProto {
 
 // Run replays the lab's trace under one scheme on one topology with
 // Scale.Workers query-replay workers (the interactive single-run entry
-// point; multi-worker replay trades bit-for-bit reproducibility for
-// speed, see sim.RunOptions).
+// point; any worker count gives the same summary, see sim.RunOptions).
 func (l *Lab) Run(schemeName string, topo overlay.Kind) (metrics.Summary, error) {
 	return l.run(schemeName, topo, false, l.Scale.Workers, nil, nil, nil)
 }

@@ -22,10 +22,11 @@ type Scale struct {
 	// RefreshPeriodSec overrides the ASAP refresh period (0 keeps the
 	// core default scaled by Factor).
 	RefreshPeriodSec int
-	// Workers is the per-run query replay fan-out (0 = GOMAXPROCS). It
-	// applies to single-run entry points (Lab.Run, seed sweeps);
-	// RunMatrix cells always replay single-threaded so the matrix stays
-	// deterministic.
+	// Workers is the per-run query replay parallelism (0 = GOMAXPROCS):
+	// above 1 the run replays on the sharded dispatcher with that many
+	// shards, byte-identical to a sequential replay (see sim.RunOptions).
+	// It applies to single-run entry points (Lab.Run, seed sweeps);
+	// RunMatrix cells replay single-threaded and parallelise across cells.
 	Workers int
 	// MatrixWorkers bounds RunMatrix's scheme×topology fan-out (0 =
 	// GOMAXPROCS). Runs are independent, so the worker count never
@@ -35,7 +36,7 @@ type Scale struct {
 	// including matrix cells: the overlay splits into this many contiguous
 	// node-range shards, each query batch replays as a parallel intra-shard
 	// phase plus an ordered barrier drain, and outputs stay byte-identical
-	// to the unsharded Workers=1 replay at every count (see sim.RunOptions
+	// to the sequential replay at every count (see sim.RunOptions
 	// and TestShardedReplayEquivalence). 0 keeps the unsharded path;
 	// negative means auto (GOMAXPROCS, capped at overlay.MaxShards).
 	ShardCount int

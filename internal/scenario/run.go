@@ -11,8 +11,9 @@ import (
 
 // Options tunes one scenario replay. The zero value replays sequentially.
 type Options struct {
-	// Workers is the unsharded query worker count (0 = 1, the
-	// deterministic default). Sharded replays ignore it.
+	// Workers is the query replay parallelism (0 = 1, sequential); above
+	// 1 the replay runs sharded with Shards = Workers. Outputs are
+	// byte-identical at every count. A nonzero Shards takes precedence.
 	Workers int
 	// Shards partitions the overlay for the parallel sharded replay
 	// engine; outputs are byte-identical at every count.

@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"math/rand/v2"
 	"sync"
 
 	"asap/internal/content"
@@ -57,17 +58,27 @@ func (noopEvents) LoadMask() metrics.ClassMask { return metrics.BaselineLoadMask
 func (noopEvents) PureSearch() {}
 
 // scratch is per-worker reusable cascade state. The stamp/epoch trick
-// avoids clearing the visit arrays between queries.
+// avoids clearing the node-indexed arrays between queries.
 type scratch struct {
-	stamp   []uint32
-	epoch   uint32
-	arrival []sim.Clock
-	hop     []int32
-	pq      sim.PQ
-	times   []sim.Clock      // walker step times
-	nodes   []overlay.NodeID // walker step nodes
-	acc     sim.SecAccumulator
-	accCtl  sim.SecAccumulator
+	stamp  []uint32 // flood: node → epoch it was visited in
+	epoch  uint32
+	hop    []int32 // flood: hop count of a visited node's first copy
+	pq     sim.PQ
+	times  []sim.Clock      // walker step times
+	nodes  []overlay.NodeID // walker step nodes
+	recs   []walkRec        // the query's walkers
+	probes []sim.Clock      // walker check-back message times, in send order
+	acc    sim.SecAccumulator
+
+	// Walks: NodeMatches memo. tested[n] == epoch means node n was
+	// matched against this query's terms, with outcome hit[n]. Walkers
+	// revisit nodes often, and the match test is a postings scan.
+	tested []uint32
+	hit    []bool
+
+	// Walks: the query's RNG, re-seeded per query (see seedRNG).
+	pcg rand.PCG
+	rng *rand.Rand
 
 	// Fault-plane message stream of the current query (see faults.Key):
 	// fkey names the query, fseq numbers its messages, so drop decisions
@@ -83,14 +94,19 @@ func (s *scratch) nextSeq() uint32 {
 	return v
 }
 
+func newScratch(n int) *scratch {
+	s := &scratch{
+		stamp:  make([]uint32, n),
+		hop:    make([]int32, n),
+		tested: make([]uint32, n),
+		hit:    make([]bool, n),
+	}
+	s.rng = rand.New(&s.pcg)
+	return s
+}
+
 func newScratchPool(n int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &scratch{
-			stamp:   make([]uint32, n),
-			arrival: make([]sim.Clock, n),
-			hop:     make([]int32, n),
-		}
-	}}
+	return &sync.Pool{New: func() any { return newScratch(n) }}
 }
 
 // begin starts a fresh query in this scratch, keyed for the fault plane.
@@ -99,24 +115,40 @@ func (s *scratch) begin(fkey uint64) {
 	s.fseq = 0
 	s.epoch++
 	if s.epoch == 0 { // wrapped: clear stamps once per 2^32 queries
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
+		clear(s.stamp)
+		clear(s.tested)
 		s.epoch = 1
 	}
 	s.pq.Reset()
 	s.acc.Reset()
-	s.accCtl.Reset()
 	s.times = s.times[:0]
 	s.nodes = s.nodes[:0]
+	s.recs = s.recs[:0]
+	s.probes = s.probes[:0]
+}
+
+// seedRNG re-seeds the scratch's RNG for one query: it then draws exactly
+// the stream of rand.New(rand.NewPCG(seed, stream)).
+func (s *scratch) seedRNG(seed, stream uint64) *rand.Rand {
+	s.pcg.Seed(seed, stream)
+	return s.rng
 }
 
 func (s *scratch) seen(n overlay.NodeID) bool { return s.stamp[n] == s.epoch }
 
-func (s *scratch) visit(n overlay.NodeID, t sim.Clock, hop int32) {
+func (s *scratch) visit(n overlay.NodeID, hop int32) {
 	s.stamp[n] = s.epoch
-	s.arrival[n] = t
 	s.hop[n] = hop
+}
+
+// matches is sys.NodeMatches(n, terms) for the current query's terms,
+// computed once per node per query.
+func (s *scratch) matches(sys *sim.System, n overlay.NodeID, terms []content.Keyword) bool {
+	if s.tested[n] != s.epoch {
+		s.tested[n] = s.epoch
+		s.hit[n] = sys.NodeMatches(n, terms)
+	}
+	return s.hit[n]
 }
 
 // querySeed derives a deterministic per-query RNG seed so results do not

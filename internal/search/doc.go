@@ -16,7 +16,8 @@
 // simulates its own message cascade over a snapshot of the live overlay:
 // flooding is a time-ordered relaxation (each queue push is one query
 // message), walks are stepwise traversals. Per-query scratch state
-// (visit stamps, queues, walker paths) is pooled per worker.
+// (visit stamps, match memo, queues, walker paths, RNG) is pooled per
+// worker, so a warm search allocates nothing.
 //
 // Cost accounting follows §V-B exactly: for baselines, both the per-search
 // cost (Fig. 6) and the system load (Figs. 8–10) count query messages

@@ -56,13 +56,20 @@ func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
 	msgs := 0
 	hits := 0
 
-	sc.pq.Push(sim.PQItem{T: t0, Node: src, From: src, Hop: 0})
+	// A node forwards only its first-popped copy, so every copy's hop
+	// count is its sender's recorded hop plus one; the source's own item
+	// (From == Node == src) pops first, at hop 0.
+	sc.pq.Push(sim.PQItem{T: t0, Node: src, From: src})
 	for sc.pq.Len() > 0 {
 		it := sc.pq.Pop()
 		if sc.seen(it.Node) {
 			continue // duplicate copy: already counted at send time
 		}
-		sc.visit(it.Node, it.T, it.Hop)
+		hop := int32(0)
+		if it.Node != src {
+			hop = sc.hop[it.From] + 1
+		}
+		sc.visit(it.Node, hop)
 
 		if it.Node != src && sys.NodeMatches(it.Node, ev.Terms) {
 			reply := it.T + sim.Clock(sys.Latency(it.Node, src))
@@ -73,11 +80,11 @@ func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
 				reply += sys.JitterMS(metrics.MQueryHit, it.Node, src, sc.fkey, rseq)
 				if reply < best {
 					best = reply
-					bestHop = it.Hop
+					bestHop = hop
 				}
 			}
 		}
-		if int(it.Hop) >= f.TTL {
+		if int(hop) >= f.TTL {
 			continue
 		}
 		for _, nb := range sys.G.LiveNeighbors(it.Node) {
@@ -94,7 +101,6 @@ func (f *Flooding) Search(ev *trace.Event) metrics.SearchResult {
 					sys.JitterMS(metrics.MQuery, it.Node, nb, sc.fkey, seq),
 				Node: nb,
 				From: it.Node,
-				Hop:  it.Hop + 1,
 			})
 		}
 	}

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"math/rand/v2"
 	"sync"
 
 	"asap/internal/faults"
@@ -63,14 +62,13 @@ func (g *GSA) Search(ev *trace.Event) metrics.SearchResult {
 		perWalker = remaining / len(seeds)
 	}
 
-	rng := rand.New(rand.NewPCG(querySeed(g.Seed, ev.Time, ev.Node), 0x51a2b3c4))
-	recs := make([]walkRec, 0, len(seeds))
+	rng := sc.seedRNG(querySeed(g.Seed, ev.Time, ev.Node), 0x51a2b3c4)
 	for _, nb := range seeds {
 		arr := ev.Time + sim.Clock(sys.Latency(src, nb))
-		recs = append(recs, runWalker(sys, sc, rng, src, nb, arr, perWalker+1, ev.Terms))
+		sc.recs = append(sc.recs, runWalker(sys, sc, rng, src, nb, arr, perWalker+1, ev.Terms))
 	}
 	// The seed messages themselves are already the first step of each
 	// walker record (runWalker records the starting neighbour), so
 	// extraMsgs is zero: every message is a recorded step.
-	return settleWalk(sys, sc, recs, src, ev.Time, qBytes, 0)
+	return settleWalk(sys, sc, sc.recs, src, ev.Time, qBytes, 0)
 }

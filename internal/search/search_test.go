@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asap/internal/content"
+	"asap/internal/faults"
 	"asap/internal/metrics"
 	"asap/internal/netmodel"
 	"asap/internal/overlay"
@@ -277,6 +278,11 @@ func TestEndToEndRunAllBaselines(t *testing.T) {
 		if sys.Load.TotalBytes(metrics.BaselineLoadMask) >= sys.Load.TotalBytes(metrics.AllMask) {
 			t.Errorf("%s: load mask does not exclude replies", sch.Name())
 		}
+		// Walkers check back with the requester; a flood never does.
+		ctl := sys.Load.TotalBytes(metrics.Mask(metrics.MControl))
+		if walks := sch.Name() != "flooding"; walks != (ctl > 0) {
+			t.Errorf("%s: %d check-back bytes accounted", sch.Name(), ctl)
+		}
 	}
 }
 
@@ -286,8 +292,8 @@ func TestPickNeighborAvoidsBacktrack(t *testing.T) {
 	w.Attach(sys)
 	// Statistical check: walk from a node with ≥3 live neighbours and
 	// verify the immediate predecessor is never chosen when alternatives
-	// exist (pickNeighbor is exercised through Search determinism tests;
-	// here we call it directly).
+	// exist (the walkers' pick is exercised through Search determinism
+	// tests; here we call it directly).
 	var cur overlay.NodeID = -1
 	for v := 0; v < sys.NumNodes(); v++ {
 		live := 0
@@ -307,23 +313,56 @@ func TestPickNeighborAvoidsBacktrack(t *testing.T) {
 	prev := sys.G.Neighbors(cur)[0]
 	rng := rand.New(rand.NewPCG(42, 42))
 	for i := 0; i < 200; i++ {
-		if got := pickNeighbor(sys, cur, prev, rng); got == prev {
-			t.Fatal("pickNeighbor backtracked despite alternatives")
+		if got := overlay.PickAvoiding(sys.G.LiveNeighbors(cur), prev, rng); got == prev {
+			t.Fatal("the walkers' pick backtracked despite alternatives")
 		}
 	}
 }
 
 func TestScratchEpochWrap(t *testing.T) {
-	sc := &scratch{stamp: make([]uint32, 4), arrival: make([]sim.Clock, 4), hop: make([]int32, 4)}
-	sc.epoch = ^uint32(0) - 1
+	sys := newSys(t, overlay.Random)
+	ev := firstQuery(t)
+	var match, miss overlay.NodeID = -1, -1
+	for v := 0; v < sys.NumNodes() && (match < 0 || miss < 0); v++ {
+		if sys.NodeMatches(overlay.NodeID(v), ev.Terms) {
+			match = overlay.NodeID(v)
+		} else {
+			miss = overlay.NodeID(v)
+		}
+	}
+	if match < 0 || miss < 0 {
+		t.Fatal("need one matching and one non-matching node")
+	}
+	foreign := []content.Keyword{0xFFFFFFF}
+
+	sc := newScratch(sys.NumNodes())
+	sc.epoch = ^uint32(0) - 2
 	sc.begin(0)
-	sc.visit(1, 5, 0)
+	sc.visit(1, 0)
 	if !sc.seen(1) || sc.seen(2) {
 		t.Fatal("visit bookkeeping broken near wrap")
 	}
+	if !sc.matches(sys, match, ev.Terms) || sc.matches(sys, miss, ev.Terms) {
+		t.Fatal("match memo disagrees with NodeMatches")
+	}
+	sc.begin(0) // last epoch before the wrap
+	if sc.matches(sys, match, foreign) {
+		t.Fatal("match memo answered a new query from the previous one")
+	}
 	sc.begin(0) // wraps to 0 → forced clear to epoch 1
+	if sc.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", sc.epoch)
+	}
 	if sc.seen(1) {
 		t.Fatal("stale visit survived epoch wrap")
+	}
+	for i, e := range sc.tested {
+		if e != 0 {
+			t.Fatalf("match memo stamp of node %d survived epoch wrap", i)
+		}
+	}
+	if !sc.matches(sys, match, ev.Terms) || sc.matches(sys, miss, ev.Terms) {
+		t.Fatal("match memo wrong after epoch wrap")
 	}
 }
 
@@ -346,34 +385,64 @@ func TestSecAccumulator(t *testing.T) {
 	}
 }
 
-func BenchmarkFloodingSearch(b *testing.B) {
-	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
-	f := NewFlooding()
-	f.Attach(sys)
+// testQueries returns the test trace's query events.
+func testQueries() []*trace.Event {
 	var queries []*trace.Event
 	for i := range testTr.Events {
 		if testTr.Events[i].Kind == trace.Query {
 			queries = append(queries, &testTr.Events[i])
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Search(queries[i%len(queries)])
+	return queries
+}
+
+// baselines returns a fresh instance of each baseline scheme.
+func baselines() []sim.Scheme {
+	return []sim.Scheme{NewFlooding(), NewRandomWalk(1), NewGSA(1)}
+}
+
+// TestBaselineSearchAllocs is the zero-alloc gate of the baseline search
+// plane: once a scheme's pooled scratch has grown to fit the queries
+// (heap, walker records, step arrays, accumulators, RNG), a Search over
+// the same queries must not allocate, lossy or not.
+func TestBaselineSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	queries := testQueries()[:40]
+	for _, loss := range []float64{0, 0.02} {
+		for _, sch := range baselines() {
+			sys := newSys(t, overlay.Random)
+			if loss > 0 {
+				sys.SetFaults(faults.New(faults.Config{Seed: 1, LossRate: loss}))
+			}
+			sch.Attach(sys)
+			run := func() {
+				for _, ev := range queries {
+					sch.Search(ev)
+				}
+			}
+			run()
+			if a := testing.AllocsPerRun(5, run); a != 0 {
+				t.Errorf("%s at loss %g: %.1f allocations per %d searches, want 0", sch.Name(), loss, a, len(queries))
+			}
+		}
 	}
 }
 
-func BenchmarkRandomWalkSearch(b *testing.B) {
+func benchSearch(b *testing.B, sch sim.Scheme) {
 	sys := sim.NewSystem(testU, testTr, overlay.Random, testNet, 1)
-	w := NewRandomWalk(1)
-	w.Attach(sys)
-	var queries []*trace.Event
-	for i := range testTr.Events {
-		if testTr.Events[i].Kind == trace.Query {
-			queries = append(queries, &testTr.Events[i])
-		}
-	}
+	sch.Attach(sys)
+	queries := testQueries()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Search(queries[i%len(queries)])
+		sch.Search(queries[i%len(queries)])
 	}
 }
+
+func BenchmarkFloodingSearch(b *testing.B) { benchSearch(b, NewFlooding()) }
+
+func BenchmarkRandomWalkSearch(b *testing.B) { benchSearch(b, NewRandomWalk(1)) }
+
+func BenchmarkGSASearch(b *testing.B) { benchSearch(b, NewGSA(1)) }

@@ -36,39 +36,39 @@ func runWalker(sys *sim.System, sc *scratch, rng *rand.Rand, src overlay.NodeID,
 	if start != src {
 		// Seeded walkers (GSA) begin at a neighbour that was already
 		// visited by the seed flood; record and test it.
-		sc.nodes = append(sc.nodes, cur)
-		sc.times = append(sc.times, t)
 		rec.steps++
 		seq := sc.nextSeq()
 		if !sys.Arrives(t, metrics.MQuery, src, cur, sc.fkey, seq) {
+			sc.step(cur, t)
 			rec.lost = true // seed copy dropped: the walker never starts
 			return rec
 		}
 		t += sys.JitterMS(metrics.MQuery, src, cur, sc.fkey, seq)
-		sc.times[rec.start] = t
-		if sys.NodeMatches(cur, terms) {
+		sc.step(cur, t)
+		if sc.matches(sys, cur, terms) {
 			rec.matched, rec.matchTime = true, t
 			return rec
 		}
 	}
 	for rec.steps < ttl {
-		next := pickNeighbor(sys, cur, prev, rng)
+		// A uniformly random live neighbour, avoiding an immediate return
+		// to prev when any alternative exists.
+		next := overlay.PickAvoiding(sys.G.LiveNeighbors(cur), prev, rng)
 		if next < 0 {
 			break // dead end
 		}
 		t += sim.Clock(sys.Latency(cur, next))
 		prev, cur = cur, next
-		sc.nodes = append(sc.nodes, cur)
-		sc.times = append(sc.times, t)
 		rec.steps++
 		seq := sc.nextSeq()
 		if !sys.Arrives(t, metrics.MQuery, prev, cur, sc.fkey, seq) {
+			sc.step(cur, t)
 			rec.lost = true // walker lost in transit
 			break
 		}
 		t += sys.JitterMS(metrics.MQuery, prev, cur, sc.fkey, seq)
-		sc.times[rec.start+rec.steps-1] = t
-		if cur != src && sys.NodeMatches(cur, terms) {
+		sc.step(cur, t)
+		if cur != src && sc.matches(sys, cur, terms) {
 			rec.matched, rec.matchTime = true, t
 			break
 		}
@@ -76,36 +76,11 @@ func runWalker(sys *sim.System, sc *scratch, rng *rand.Rand, src overlay.NodeID,
 	return rec
 }
 
-// pickNeighbor returns a uniformly random live neighbour of cur, avoiding
-// an immediate return to prev when any alternative exists; -1 when cur has
-// no live neighbour.
-func pickNeighbor(sys *sim.System, cur, prev overlay.NodeID, rng *rand.Rand) overlay.NodeID {
-	// The overlay's live view is pre-filtered and preserves adjacency
-	// order, so the draw below replays exactly like the old Alive scan.
-	nbs := sys.G.LiveNeighbors(cur)
-	liveNotPrev := 0
-	for _, nb := range nbs {
-		if nb != prev {
-			liveNotPrev++
-		}
-	}
-	if len(nbs) == 0 {
-		return -1
-	}
-	if liveNotPrev == 0 {
-		return prev // backtracking is the only move
-	}
-	k := rng.IntN(liveNotPrev)
-	for _, nb := range nbs {
-		if nb == prev {
-			continue
-		}
-		if k == 0 {
-			return nb
-		}
-		k--
-	}
-	return -1 // unreachable
+// step records one walker step: the node reached and the time the walker
+// is there (its arrival, or for a dropped copy the time it was sent).
+func (s *scratch) step(n overlay.NodeID, t sim.Clock) {
+	s.nodes = append(s.nodes, n)
+	s.times = append(s.times, t)
 }
 
 // settleWalk computes, for all walkers of one query, the resolution time,
@@ -158,11 +133,11 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 		for s := CheckEvery; s <= checkable; s += CheckEvery {
 			probeAt := sc.times[r.start+s-1]
 			walker := sc.nodes[r.start+s-1]
-			sc.accCtl.Add(probeAt, sim.CheckBackBytes())
+			sc.probes = append(sc.probes, probeAt)
 			if !sys.Arrives(probeAt, metrics.MControl, walker, src, sc.fkey, sc.nextSeq()) {
 				continue // probe lost: no reply, no instruction
 			}
-			sc.accCtl.Add(probeAt, sim.CheckBackBytes())
+			sc.probes = append(sc.probes, probeAt)
 			if !sys.Arrives(probeAt, metrics.MControl, src, walker, sc.fkey, sc.nextSeq()) {
 				continue // stop instruction lost: the walker keeps going
 			}
@@ -172,12 +147,11 @@ func settleWalk(sys *sim.System, sc *scratch, recs []walkRec, src overlay.NodeID
 			}
 		}
 		msgs += stop
-		for i := 0; i < stop; i++ {
-			sc.acc.Add(sc.times[r.start+i], qBytes)
-		}
+		sc.acc.AddRun(sc.times[r.start:r.start+stop], qBytes)
 	}
 	sc.acc.Flush(sys, metrics.MQuery)
-	sc.accCtl.Flush(sys, metrics.MControl)
+	sc.acc.AddRun(sc.probes, sim.CheckBackBytes())
+	sc.acc.Flush(sys, metrics.MControl)
 
 	res := metrics.SearchResult{Bytes: int64(msgs) * int64(qBytes)}
 	if resolved != noResponse {
@@ -224,10 +198,9 @@ func (w *RandomWalk) Search(ev *trace.Event) metrics.SearchResult {
 	defer w.pool.Put(sc)
 	sc.begin(faults.Key(ev.Time, ev.Node))
 
-	rng := rand.New(rand.NewPCG(querySeed(w.Seed, ev.Time, ev.Node), 0x9d8f3c21))
-	recs := make([]walkRec, 0, w.Walkers)
+	rng := sc.seedRNG(querySeed(w.Seed, ev.Time, ev.Node), 0x9d8f3c21)
 	for k := 0; k < w.Walkers; k++ {
-		recs = append(recs, runWalker(sys, sc, rng, ev.Node, ev.Node, ev.Time, w.TTL, ev.Terms))
+		sc.recs = append(sc.recs, runWalker(sys, sc, rng, ev.Node, ev.Node, ev.Time, w.TTL, ev.Terms))
 	}
-	return settleWalk(sys, sc, recs, ev.Node, ev.Time, sim.QueryBytes(len(ev.Terms)), 0)
+	return settleWalk(sys, sc, sc.recs, ev.Node, ev.Time, sim.QueryBytes(len(ev.Terms)), 0)
 }

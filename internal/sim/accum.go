@@ -20,10 +20,7 @@ func (a *SecAccumulator) Reset() {
 
 // Add books bytes at virtual time t.
 func (a *SecAccumulator) Add(t Clock, bytes int) {
-	sec := int32(t / 1000)
-	if t < 0 {
-		sec = -1
-	}
+	sec := secOf(t)
 	for i, s := range a.secs {
 		if s == sec {
 			a.bytes[i] += int64(bytes)
@@ -32,6 +29,30 @@ func (a *SecAccumulator) Add(t Clock, bytes int) {
 	}
 	a.secs = append(a.secs, sec)
 	a.bytes = append(a.bytes, int64(bytes))
+}
+
+// AddRun books bytes at each time of times — exactly a per-entry Add
+// loop, but a run of entries in one second (a walker's non-decreasing
+// step times) costs one Add instead of one per entry.
+func (a *SecAccumulator) AddRun(times []Clock, bytes int) {
+	for i := 0; i < len(times); {
+		sec := secOf(times[i])
+		j := i + 1
+		for j < len(times) && secOf(times[j]) == sec {
+			j++
+		}
+		a.Add(times[i], (j-i)*bytes)
+		i = j
+	}
+}
+
+// secOf is the accumulator slot of virtual time t: its second, with every
+// warm-up time collapsed into slot -1.
+func secOf(t Clock) int32 {
+	if t < 0 {
+		return -1
+	}
+	return int32(t / 1000)
 }
 
 // Flush transfers the batched bytes to the system's load account under the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"asap/internal/metrics"
@@ -59,3 +60,41 @@ func TestSystemAccessors(t *testing.T) {
 }
 
 func newRng() *rand.Rand { return rand.New(rand.NewPCG(3, 3)) }
+
+// TestAddRunMatchesAdd: AddRun books exactly what a per-entry Add loop
+// books — the same seconds in the same first-seen order with the same
+// byte totals — for non-decreasing runs crossing second boundaries and
+// the warm-up slot, and for unsorted input too.
+func TestAddRunMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	runs := [][]Clock{
+		nil,
+		{-5000, -1, 0, 999, 1000, 1001, 1999, 2000, 5000, 5000, 5999},
+		{-2000, -1000, -999, -1},
+		{7000},
+		{0, 0, 0},
+		{2500, 100, 2600, -3, 900, 2999, 3000},
+	}
+	for i := 0; i < 50; i++ {
+		run := make([]Clock, rng.IntN(200))
+		t0 := Clock(rng.IntN(4000)) - 2000
+		for j := range run {
+			t0 += Clock(rng.IntN(400))
+			run[j] = t0
+		}
+		runs = append(runs, run)
+	}
+	for i, run := range runs {
+		var per, batched SecAccumulator
+		per.Add(12345, 1) // a slot booked before the run
+		batched.Add(12345, 1)
+		bytes := 1 + rng.IntN(300)
+		for _, ts := range run {
+			per.Add(ts, bytes)
+		}
+		batched.AddRun(run, bytes)
+		if !slices.Equal(per.secs, batched.secs) || !slices.Equal(per.bytes, batched.bytes) {
+			t.Fatalf("run %d: AddRun booked %v %v, Add loop %v %v", i, batched.secs, batched.bytes, per.secs, per.bytes)
+		}
+	}
+}

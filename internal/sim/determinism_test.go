@@ -58,11 +58,13 @@ func TestReplayDeterministicSingleWorker(t *testing.T) {
 
 // TestParallelAggregatesMatchSerial: for a scheme whose per-query results
 // are scheduling-independent, worker count must not change any aggregate.
+// The scheme declares itself pure, so Workers=8 really runs parallel
+// lanes (a scheme with no declared search shape replays sequentially).
 func TestParallelAggregatesMatchSerial(t *testing.T) {
 	tr := testTrace(t)
 	run := func(workers int) metrics.Summary {
 		sys := NewSystem(testU, tr, overlay.Crawled, testNet, 9)
-		return Run(sys, &echoScheme{}, RunOptions{Workers: workers})
+		return Run(sys, &pureProbeScheme{}, RunOptions{Workers: workers})
 	}
 	serial, parallel := run(1), run(8)
 	if serial.MeanRespMS != parallel.MeanRespMS || serial.MeanSearchBytes != parallel.MeanSearchBytes {

@@ -15,14 +15,14 @@
 //
 //   - state events (content changes, joins, departures), applied
 //     sequentially in trace order, and
-//   - query batches — maximal runs of consecutive Query events — fanned
-//     out across a worker pool. Schemes may only touch shared state from
-//     Search through synchronised or atomic paths (ASAP's per-node ad
-//     caches are individually locked; load accounting is atomic).
+//   - query batches — maximal runs of consecutive Query events — replayed
+//     sequentially or, with more than one worker, across the sharded
+//     dispatcher's lanes (shard.go), which run in parallel only queries
+//     proven to commute. Schemes may only touch shared state from Search
+//     through synchronised or atomic paths (ASAP's per-node ad caches are
+//     individually locked; load accounting is atomic).
 //
-// With a single worker the replay is fully deterministic; with N workers
-// the aggregate metrics are unchanged except for ASAP cache-insertion
-// order within one batch (which only reorders equally-valid ads).
+// The replay is fully deterministic at every worker and shard count.
 //
 // # Message size model
 //

@@ -2,11 +2,9 @@ package sim
 
 import (
 	"runtime"
-	"sync"
 
 	"asap/internal/content"
 	"asap/internal/metrics"
-	"asap/internal/obs"
 	"asap/internal/overlay"
 	"asap/internal/trace"
 )
@@ -16,8 +14,8 @@ import (
 //
 // Attach is called once before replay and may pre-distribute state (ASAP's
 // warm-up ad delivery). Search must be safe for concurrent calls — the
-// runner fans query batches across workers; all other methods are called
-// with the runner's state lock held (never concurrently).
+// sharded dispatcher runs the lanes of a query batch in parallel; all
+// other methods are called from the runner thread (never concurrently).
 type Scheme interface {
 	// Name returns the scheme label used in figures (e.g. "flooding",
 	// "asap-rw").
@@ -63,10 +61,15 @@ type ContentBatcher interface {
 	ContentChangedBatch(t Clock, n overlay.NodeID, docs []content.DocID, added []bool)
 }
 
-// RunOptions tunes the replay.
+// RunOptions tunes the replay. Every setting replays byte-identically to
+// the sequential replay (Workers=1, Shards=0): parallelism only changes
+// how fast the same answer arrives.
 type RunOptions struct {
-	// Workers is the query-batch fan-out; 0 means GOMAXPROCS. Workers=1
-	// gives a bit-for-bit deterministic replay.
+	// Workers is the query-batch parallelism; 0 means GOMAXPROCS. Workers=1
+	// replays sequentially; Workers > 1 runs query batches on the sharded
+	// dispatcher with Shards = Workers (Shards, when set, takes
+	// precedence). A scheme that implements neither SearchSharder nor
+	// PureSearcher replays sequentially at any setting.
 	Workers int
 	// MaxBatch caps how many consecutive queries are fanned out at once;
 	// 0 means unlimited (a batch ends at the next state event).
@@ -74,29 +77,31 @@ type RunOptions struct {
 	// Shards selects the sharded replay engine (see shard.go): the node ID
 	// space splits into Shards contiguous ranges, query batches replay as a
 	// parallel intra-shard phase plus an ordered epoch-barrier drain, and
-	// the output stays byte-identical to the Workers=1 sequential replay at
-	// every shard count (including 1). 0 keeps the unsharded path; negative
-	// means auto (GOMAXPROCS, capped at overlay.MaxShards). Shards > 0
-	// overrides Workers for query batches. A scheme that implements neither
-	// SearchSharder nor PureSearcher falls back to the unsharded path.
+	// the output stays byte-identical to the sequential replay at every
+	// shard count (including 1). 0 defers to Workers; negative means auto
+	// (GOMAXPROCS, capped at overlay.MaxShards).
 	Shards int
 }
 
 // Run replays the system's trace against the scheme and summarises the
 // paper's metrics for it. The sequential stepping core lives in Stepper
-// (stepper.go); Run layers the query-batch execution strategy on top —
-// worker fan-out or the sharded dispatcher — and stays byte-identical to
-// driving the Stepper alone at Workers=1.
+// (stepper.go); Run layers the sharded dispatcher on top when parallelism
+// is asked for, and stays byte-identical to driving the Stepper alone.
 func Run(sys *System, sch Scheme, opts RunOptions) metrics.Summary {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	shards := opts.Shards
+	if shards < 0 {
+		shards = runtime.GOMAXPROCS(0)
 	}
-	var dispatcher *shardDispatcher
-	if shards := opts.Shards; shards != 0 {
-		if shards < 0 {
+	if shards == 0 {
+		if shards = opts.Workers; shards <= 0 {
 			shards = runtime.GOMAXPROCS(0)
 		}
+		if shards == 1 {
+			shards = 0
+		}
+	}
+	var dispatcher *shardDispatcher
+	if shards != 0 {
 		dispatcher = newShardDispatcher(sch, sys.NumNodes(), shards)
 	}
 
@@ -105,46 +110,13 @@ func Run(sys *System, sch Scheme, opts RunOptions) metrics.Summary {
 	for batch := st.NextBatch(); batch != nil; batch = st.NextBatch() {
 		if dispatcher != nil {
 			dispatcher.runBatch(batch, st.stats, rec)
-		} else {
-			runBatch(batch, sch, st.stats, workers, rec)
+			continue
+		}
+		for _, ev := range batch {
+			r := sch.Search(ev)
+			st.stats.Record(r)
+			rec.Search(ev.Time, r.Success, r.ResponseMS, r.Bytes)
 		}
 	}
 	return st.Finish()
-}
-
-// runBatch fans a query batch across workers. Search outcomes land on the
-// observability recorder keyed by the query's issue time — deterministic
-// replay state — so the recorded series is independent of how the batch
-// was split.
-func runBatch(batch []*trace.Event, sch Scheme, stats *metrics.SearchStats, workers int, rec *obs.Recorder) {
-	if workers == 1 || len(batch) == 1 {
-		for _, ev := range batch {
-			r := sch.Search(ev)
-			stats.Record(r)
-			rec.Search(ev.Time, r.Success, r.ResponseMS, r.Bytes)
-		}
-		return
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(batch) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(batch))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(evs []*trace.Event) {
-			defer wg.Done()
-			for _, ev := range evs {
-				r := sch.Search(ev)
-				stats.Record(r)
-				rec.Search(ev.Time, r.Success, r.ResponseMS, r.Bytes)
-			}
-		}(batch[lo:hi])
-	}
-	wg.Wait()
 }

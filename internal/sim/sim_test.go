@@ -239,6 +239,10 @@ func (f *fakeScheme) NodeLeft(t Clock, n overlay.NodeID)   { f.events.Add(1) }
 func (f *fakeScheme) Tick(t Clock)                         { f.ticks.Add(1) }
 func (f *fakeScheme) LoadMask() metrics.ClassMask          { return metrics.AllMask }
 
+// PureSearch marks fakeScheme pure (its Search only bumps an atomic), so
+// multi-worker runs exercise the parallel sharded lanes.
+func (f *fakeScheme) PureSearch() {}
+
 func TestRunnerDispatch(t *testing.T) {
 	sys := newTestSystem(t)
 	sch := &fakeScheme{}

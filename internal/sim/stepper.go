@@ -10,8 +10,7 @@ import (
 // Stepper is the sequential replay core, extracted from Run so callers
 // other than the batch runner can drive it incrementally: the asapnode
 // daemon replays the same trace event-by-event between wire exchanges
-// (internal/cluster), while Run layers worker fan-out and the sharded
-// dispatcher on top. The stepping discipline is exactly the loop Run has
+// (internal/cluster), while Run layers the sharded dispatcher on top. The stepping discipline is exactly the loop Run has
 // always executed — same tick boundaries, same content-run coalescing,
 // same graceful-leave ordering — so a Workers=1 Run and a Stepper driven
 // to completion produce byte-identical summaries.
